@@ -55,13 +55,15 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 		T[i] = m.tgt.encode(v)
 	}
 
+	// Weights and gradients live in flat row-major slices (row h of w1 is
+	// w1[h*stride : (h+1)*stride]) allocated once per Train. Keep the order
+	// of every multiply-add: reordering changes the trained weights in their
+	// low bits, and exact_test.go pins them to the reference kernel.
+	stride := dims + 1
 	rng := rand.New(rand.NewSource(m.seed))
-	m.w1 = make([][]float64, m.hidden)
-	for h := range m.w1 {
-		m.w1[h] = make([]float64, dims+1)
-		for j := range m.w1[h] {
-			m.w1[h][j] = rng.NormFloat64() * 0.5
-		}
+	w1 := make([]float64, m.hidden*stride)
+	for j := range w1 {
+		w1[j] = rng.NormFloat64() * 0.5
 	}
 	m.w2 = make([]float64, m.hidden+1)
 	for j := range m.w2 {
@@ -70,18 +72,18 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 
 	n := float64(len(Z))
 	act := make([]float64, m.hidden+1)
+	g1 := make([]float64, len(w1))
+	g2 := make([]float64, m.hidden+1)
 	for epoch := 0; epoch < m.epochs; epoch++ {
-		g1 := make([][]float64, m.hidden)
-		for h := range g1 {
-			g1[h] = make([]float64, dims+1)
-		}
-		g2 := make([]float64, m.hidden+1)
+		clear(g1)
+		clear(g2)
 		for i, z := range Z {
 			// Forward.
 			for h := 0; h < m.hidden; h++ {
-				s := m.w1[h][dims]
+				row := w1[h*stride : (h+1)*stride]
+				s := row[dims]
 				for j := 0; j < dims; j++ {
-					s += m.w1[h][j] * z[j]
+					s += row[j] * z[j]
 				}
 				act[h] = math.Tanh(s)
 			}
@@ -94,20 +96,23 @@ func (m *MLP) Train(X [][]float64, y []float64) error {
 			}
 			for h := 0; h < m.hidden; h++ {
 				dh := errOut * m.w2[h] * (1 - act[h]*act[h])
+				grow := g1[h*stride : (h+1)*stride]
 				for j := 0; j < dims; j++ {
-					g1[h][j] += dh * z[j]
+					grow[j] += dh * z[j]
 				}
-				g1[h][dims] += dh
+				grow[dims] += dh
 			}
 		}
 		for h := 0; h <= m.hidden; h++ {
 			m.w2[h] -= m.lr * g2[h] / n
 		}
-		for h := 0; h < m.hidden; h++ {
-			for j := 0; j <= dims; j++ {
-				m.w1[h][j] -= m.lr * g1[h][j] / n
-			}
+		for j := range w1 {
+			w1[j] -= m.lr * g1[j] / n
 		}
+	}
+	m.w1 = make([][]float64, m.hidden)
+	for h := range m.w1 {
+		m.w1[h] = w1[h*stride : (h+1)*stride : (h+1)*stride]
 	}
 	return nil
 }

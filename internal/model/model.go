@@ -55,7 +55,10 @@ func validate(X [][]float64, y []float64) (dims int, err error) {
 }
 
 // Factory constructs a fresh, untrained model. Cross-validation uses
-// factories so every fold trains from scratch.
+// factories so every fold trains from scratch. CrossValidate calls a
+// factory from several goroutines at once, so it must be safe for
+// concurrent use and return an independent model that shares no mutable
+// state with any other (every built-in model qualifies).
 type Factory func() Model
 
 // DefaultFactories returns the platform's full model zoo, seeded

@@ -55,12 +55,30 @@ func (t *Tree) Train(X [][]float64, y []float64) error {
 	for i := range idx {
 		idx[i] = i
 	}
-	t.root = t.build(X, y, idx, features, 0)
+	sc := &splitScratch{
+		ys:    make([]float64, len(X)),
+		vals:  make([]float64, len(X)),
+		order: make([]int, len(X)),
+	}
+	t.root = t.build(X, y, idx, features, 0, sc)
 	return nil
 }
 
-func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int) *treeNode {
-	ys := make([]float64, len(idx))
+// splitScratch holds the buffers of one node's split search. A node is done
+// with them before it recurses, so one set, sized for the root, serves the
+// whole tree. It sorts order by vals as sort.Slice on the same less
+// function would: both run the same pdqsort, so ties keep the same order.
+type splitScratch struct {
+	ys, vals []float64
+	order    []int
+}
+
+func (s *splitScratch) Len() int           { return len(s.order) }
+func (s *splitScratch) Less(a, b int) bool { return s.vals[s.order[a]] < s.vals[s.order[b]] }
+func (s *splitScratch) Swap(a, b int)      { s.order[a], s.order[b] = s.order[b], s.order[a] }
+
+func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int, sc *splitScratch) *treeNode {
+	ys := sc.ys[:len(idx)]
 	for i, j := range idx {
 		ys[i] = y[j]
 	}
@@ -71,16 +89,16 @@ func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int)
 
 	bestVar := math.Inf(1)
 	bestFeature, bestSplit := -1, 0.0
+	sc.vals, sc.order = sc.vals[:len(idx)], sc.order[:len(idx)]
+	vals, order := sc.vals, sc.order
 	for _, f := range features {
-		vals := make([]float64, len(idx))
 		for i, j := range idx {
 			vals[i] = X[j][f]
 		}
-		order := make([]int, len(idx))
 		for i := range order {
 			order[i] = i
 		}
-		sort.Slice(order, func(a, b int) bool { return vals[order[a]] < vals[order[b]] })
+		sort.Sort(sc)
 
 		// Incremental variance scan over sorted split positions.
 		var lsum, lsq, rsum, rsq float64
@@ -117,7 +135,18 @@ func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int)
 		return node
 	}
 
-	var li, ri []int
+	nl := 0
+	for _, j := range idx {
+		if X[j][bestFeature] <= bestSplit {
+			nl++
+		}
+	}
+	if nl == 0 || nl == len(idx) {
+		return node
+	}
+	// Both children's rows, in idx order, share one allocation.
+	part := make([]int, len(idx))
+	li, ri := part[:0:nl], part[nl:nl]
 	for _, j := range idx {
 		if X[j][bestFeature] <= bestSplit {
 			li = append(li, j)
@@ -125,14 +154,11 @@ func (t *Tree) build(X [][]float64, y []float64, idx, features []int, depth int)
 			ri = append(ri, j)
 		}
 	}
-	if len(li) == 0 || len(ri) == 0 {
-		return node
-	}
 	node.leaf = false
 	node.feature = bestFeature
 	node.threshold = bestSplit
-	node.left = t.build(X, y, li, features, depth+1)
-	node.right = t.build(X, y, ri, features, depth+1)
+	node.left = t.build(X, y, li, features, depth+1, sc)
+	node.right = t.build(X, y, ri, features, depth+1, sc)
 	return node
 }
 

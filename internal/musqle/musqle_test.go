@@ -1,7 +1,7 @@
 package musqle
 
 import (
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -167,12 +167,11 @@ func TestExecuteMatchesReference(t *testing.T) {
 }
 
 // sameRows compares two tables as multisets of rows (column order may
-// differ across plans, so compare on the intersection ordering).
+// differ across plans, so b's columns are put in a's order first).
 func sameRows(a, b *sqldata.Table) bool {
 	if a.NumRows() != b.NumRows() {
 		return false
 	}
-	// Reorder b's columns to a's order.
 	idx := make([]int, len(a.Cols))
 	for i, c := range a.Cols {
 		idx[i] = b.ColIndex(c)
@@ -180,53 +179,23 @@ func sameRows(a, b *sqldata.Table) bool {
 			return false
 		}
 	}
-	canon := func(rows [][]int64, reorder []int) []string {
-		out := make([]string, len(rows))
-		for i, r := range rows {
-			var sb strings.Builder
-			if reorder == nil {
-				for _, v := range r {
-					sb.WriteString(itoa64(v))
-					sb.WriteByte(',')
-				}
-			} else {
-				for _, j := range reorder {
-					sb.WriteString(itoa64(r[j]))
-					sb.WriteByte(',')
-				}
-			}
-			out[i] = sb.String()
+	ra := slices.Clone(a.Rows)
+	rb := make([][]int64, len(b.Rows))
+	for i, r := range b.Rows {
+		row := make([]int64, len(idx))
+		for k, j := range idx {
+			row[k] = r[j]
 		}
-		sort.Strings(out)
-		return out
+		rb[i] = row
 	}
-	ca := canon(a.Rows, nil)
-	cb := canon(b.Rows, idx)
-	for i := range ca {
-		if ca[i] != cb[i] {
+	slices.SortFunc(ra, slices.Compare[[]int64])
+	slices.SortFunc(rb, slices.Compare[[]int64])
+	for i := range ra {
+		if !slices.Equal(ra[i], rb[i]) {
 			return false
 		}
 	}
 	return true
-}
-
-func itoa64(v int64) string {
-	if v == 0 {
-		return "0"
-	}
-	neg := v < 0
-	if neg {
-		v = -v
-	}
-	var buf []byte
-	for v > 0 {
-		buf = append([]byte{byte('0' + v%10)}, buf...)
-		v /= 10
-	}
-	if neg {
-		return "-" + string(buf)
-	}
-	return string(buf)
 }
 
 func TestMemSQLMemoryWallAvoided(t *testing.T) {

@@ -106,7 +106,7 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	q := &Query{}
 	s := strings.Join(strings.Fields(sql), " ") // normalize all whitespace
 	s = strings.TrimSpace(strings.TrimSuffix(s, ";"))
-	upper := strings.ToUpper(s)
+	upper := asciiUpper(s)
 	if !strings.HasPrefix(upper, "SELECT ") {
 		return nil, fmt.Errorf("musqle: query must start with SELECT: %q", sql)
 	}
@@ -114,9 +114,12 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	if fromIdx < 0 {
 		return nil, fmt.Errorf("musqle: missing FROM clause")
 	}
+	if fromIdx < len("SELECT ") {
+		return nil, fmt.Errorf("musqle: empty SELECT list")
+	}
 	selectPart := strings.TrimSpace(s[len("SELECT "):fromIdx])
 	rest := s[fromIdx+len(" FROM "):]
-	upperRest := strings.ToUpper(rest)
+	upperRest := asciiUpper(rest)
 	wherePart := ""
 	fromPart := rest
 	if wi := strings.Index(upperRest, " WHERE "); wi >= 0 {
@@ -209,8 +212,21 @@ func Parse(sql string, cat *Catalog) (*Query, error) {
 	return q, nil
 }
 
+// asciiUpper upper-cases ASCII letters only. Unlike strings.ToUpper it keeps
+// every byte offset, so keyword positions found in the result index the
+// original string.
+func asciiUpper(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'a' <= c && c <= 'z' {
+			b[i] = c - 'a' + 'A'
+		}
+	}
+	return string(b)
+}
+
 func splitAnd(where string) []string {
-	upper := strings.ToUpper(where)
+	upper := asciiUpper(where)
 	var out []string
 	start := 0
 	for {

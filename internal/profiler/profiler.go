@@ -164,7 +164,9 @@ type Profiler struct {
 	retrainListener func(opName string)
 
 	// Factories is the model zoo used for selection; defaults to
-	// model.DefaultFactories.
+	// model.DefaultFactories. Cross-validation calls these from several
+	// goroutines at once (see model.Factory): each must return an
+	// independent model with no shared mutable state.
 	Factories []model.Factory
 	// CVFolds is the cross-validation fold count (default 5).
 	CVFolds int

@@ -74,7 +74,7 @@ func (s *Server) handleFaults(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		var dto faultConfigDTO
 		if err := json.NewDecoder(r.Body).Decode(&dto); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyErrStatus(err), err)
 			return
 		}
 		if err := s.platform.InjectFaults(dto.toConfig()); err != nil {

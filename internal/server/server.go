@@ -8,6 +8,7 @@ package server
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -32,8 +33,8 @@ type Server struct {
 	workflows map[string]string
 	// traces stores, per workflow name, the event timeline captured during
 	// its most recent execute action.
-	traces map[string][]ires.TraceEvent
-	mux    *http.ServeMux
+	traces  map[string][]ires.TraceEvent
+	handler http.Handler
 }
 
 // New builds a server around the platform.
@@ -64,12 +65,16 @@ func New(p *ires.Platform) *Server {
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
 		writeJSON(w, http.StatusOK, map[string]string{"status": "HEALTHY"})
 	})
-	s.mux = mux
+	s.handler = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		r.Body = http.MaxBytesReader(w, r.Body, maxBodyBytes)
+		mux.ServeHTTP(w, r)
+	})
 	return s
 }
 
-// Handler returns the HTTP handler (mount under any address/port).
-func (s *Server) Handler() http.Handler { return s.mux }
+// Handler returns the HTTP handler (mount under any address/port). It caps
+// every request body at maxBodyBytes.
+func (s *Server) Handler() http.Handler { return s.handler }
 
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
@@ -81,9 +86,23 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	writeJSON(w, code, map[string]string{"error": err.Error()})
 }
 
+// maxBodyBytes bounds every request body the API reads. A larger body is
+// refused with 413, never read whole or silently truncated.
+const maxBodyBytes = 1 << 20
+
 func readBody(r *http.Request) (string, error) {
-	b, err := io.ReadAll(io.LimitReader(r.Body, 1<<20))
+	b, err := io.ReadAll(r.Body)
 	return string(b), err
+}
+
+// bodyErrStatus is the status for a request body that could not be read or
+// decoded: 413 when it exceeds maxBodyBytes, 400 otherwise.
+func bodyErrStatus(err error) int {
+	var tooBig *http.MaxBytesError
+	if errors.As(err, &tooBig) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
 }
 
 // tailName extracts the final path element after the given prefix.
@@ -143,7 +162,7 @@ func (s *Server) handleOperator(w http.ResponseWriter, r *http.Request) {
 		// description-file format (the send_operator.sh flow).
 		body, err := readBody(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyErrStatus(err), err)
 			return
 		}
 		if err := s.platform.RegisterOperator(name, body); err != nil {
@@ -154,7 +173,7 @@ func (s *Server) handleOperator(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodPost && action == "profile":
 		var req profileRequest
 		if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyErrStatus(err), err)
 			return
 		}
 		space := ires.ProfileSpace{
@@ -196,7 +215,7 @@ func (s *Server) handleDataset(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPost:
 		body, err := readBody(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyErrStatus(err), err)
 			return
 		}
 		if err := s.platform.RegisterDataset(name, body); err != nil {
@@ -225,7 +244,7 @@ func (s *Server) handleAbstractOperator(w http.ResponseWriter, r *http.Request) 
 	}
 	body, err := readBody(r)
 	if err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, bodyErrStatus(err), err)
 		return
 	}
 	if err := s.platform.RegisterAbstractOperator(name, body); err != nil {
@@ -303,7 +322,7 @@ func (s *Server) handleWorkflow(w http.ResponseWriter, r *http.Request) {
 	case r.Method == http.MethodPost && action == "":
 		body, err := readBody(r)
 		if err != nil {
-			writeErr(w, http.StatusBadRequest, err)
+			writeErr(w, bodyErrStatus(err), err)
 			return
 		}
 		// Validate eagerly so registration errors surface immediately.
@@ -629,7 +648,7 @@ func (s *Server) handleEngine(w http.ResponseWriter, r *http.Request) {
 		On bool `json:"on"`
 	}
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
+		writeErr(w, bodyErrStatus(err), err)
 		return
 	}
 	s.platform.SetEngineAvailable(name, req.On)
@@ -668,7 +687,7 @@ func (s *Server) PreloadLibrary(dir string) error {
 func (s *Server) ListenAndServe(addr string) error {
 	srv := &http.Server{
 		Addr:              addr,
-		Handler:           s.mux,
+		Handler:           s.handler,
 		ReadHeaderTimeout: 10 * time.Second,
 	}
 	return srv.ListenAndServe()

@@ -599,3 +599,24 @@ func TestClusterEndpointAgentState(t *testing.T) {
 		t.Fatalf("post-reconcile desired/actual diff = %d", dto.DesiredActualDiff)
 	}
 }
+
+// Every endpoint that reads a request body refuses one over maxBodyBytes
+// with 413 instead of buffering it (JSON) or truncating it (descriptions).
+func TestOversizedBodiesRefused(t *testing.T) {
+	_, ts, _ := newTestServer(t)
+	// A syntactically valid JSON prefix, so only the size can fail it.
+	bigJSON := `{"records":[` + strings.Repeat("1000,", maxBodyBytes/5) + `1]}`
+	bigText := "Constraints.Engine=Spark\n" + strings.Repeat("#", maxBodyBytes)
+	cases := []struct{ path, body string }{
+		{"/api/operators/x/profile", bigJSON},
+		{"/api/engines/Spark/availability", bigJSON},
+		{"/api/faults", bigJSON},
+		{"/api/operators/big", bigText},
+	}
+	for _, c := range cases {
+		resp, body := do(t, "POST", ts.URL+c.path, c.body)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with %d bytes: status %d, want 413 (%s)", c.path, len(c.body), resp.StatusCode, body)
+		}
+	}
+}
