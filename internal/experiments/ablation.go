@@ -205,8 +205,14 @@ func AblationModelSelection(seed int64) (*Report, error) {
 	table := Table{Title: "Mean relative error on held-out configurations", Header: []string{"strategy", "rel err"}}
 
 	factories := model.DefaultFactories(seed)
-	selected, scores, err := model.SelectBestRelative(factories, X, y, 5, seed)
+	// Full cross-validation, not the racing SelectBestRelative: the notes
+	// below report every family's score.
+	scores, err := model.CrossValidate(factories, X, y, 5, seed)
 	if err != nil {
+		return nil, err
+	}
+	selected := factories[model.BestRelative(scores)]()
+	if err := selected.Train(X, y); err != nil {
 		return nil, err
 	}
 	table.Rows = append(table.Rows, []string{"CV-selected (" + selected.Name() + ")",

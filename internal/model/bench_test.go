@@ -22,6 +22,18 @@ func BenchmarkCrossValidate(b *testing.B) {
 	}
 }
 
+func BenchmarkSelectBestRelative(b *testing.B) {
+	X, y := benchData()
+	facs := DefaultFactories(1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := SelectBestRelative(facs, X, y, 5, 1); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkMLPTrain(b *testing.B) {
 	X, y := benchData()
 	b.ReportAllocs()

@@ -1,10 +1,11 @@
 package model
 
 import (
-	"fmt"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -37,7 +38,7 @@ func CrossValidate(factories []Factory, X [][]float64, y []float64, k int, seed 
 		return scores, nil
 	}
 	if len(folds) == 0 {
-		return nil, fmt.Errorf("model: cross-validation produced no folds")
+		return nil, errNoFolds
 	}
 
 	fits := make([]foldFit, len(factories)*len(folds))
@@ -45,37 +46,62 @@ func CrossValidate(factories []Factory, X [][]float64, y []float64, k int, seed 
 		fits[j] = fitFold(factories[j/len(folds)], folds[j%len(folds)])
 	})
 
+	rows := validationRows(folds)
 	for fi := range factories {
-		var se, re float64
-		var n int
-		name := ""
+		var sum cvSum
 		for fold, f := range folds {
-			fit := fits[fi*len(folds)+fold]
-			name = fit.name
-			if fit.err != nil {
-				// A family that cannot train on this fold is penalised, not
-				// fatal: other families may still fit.
-				se += math.Inf(1)
-				n += len(f.vaY)
-				continue
-			}
-			for i, pred := range fit.preds {
-				d := pred - f.vaY[i]
-				se += d * d
-				if f.vaY[i] != 0 {
-					re += math.Abs(d) / math.Abs(f.vaY[i])
-				}
-				n++
-			}
+			sum.add(fits[fi*len(folds)+fold], f)
 		}
-		scores[fi] = Score{
-			Name:   name,
-			RMSE:   math.Sqrt(se / float64(n)),
-			RelErr: re / float64(n),
-		}
+		scores[fi] = sum.score(rows)
 	}
 	return scores, nil
 }
+
+// cvSum accumulates one family's validation errors. Folds must be added in
+// fold order, so every score is the same left-to-right sum however the fits
+// were scheduled.
+type cvSum struct {
+	name   string
+	se, re float64
+}
+
+// add folds one fit's validation errors into the sums, row by row. A family
+// that cannot train on a fold is penalised with +Inf squared error, not
+// failed outright: other families may still fit.
+func (s *cvSum) add(fit foldFit, f cvFold) {
+	s.name = fit.name
+	if fit.err != nil {
+		s.se += math.Inf(1)
+		return
+	}
+	for i, pred := range fit.preds {
+		d := pred - f.vaY[i]
+		s.se += d * d
+		if f.vaY[i] != 0 {
+			s.re += math.Abs(d) / math.Abs(f.vaY[i])
+		}
+	}
+}
+
+// score normalises the sums by rows, the validation rows of every fold
+// (failed folds included).
+func (s cvSum) score(rows int) Score {
+	return Score{
+		Name:   s.name,
+		RMSE:   math.Sqrt(s.se / float64(rows)),
+		RelErr: s.re / float64(rows),
+	}
+}
+
+func validationRows(folds []cvFold) int {
+	n := 0
+	for _, f := range folds {
+		n += len(f.vaY)
+	}
+	return n
+}
+
+var errNoFolds = errors.New("model: cross-validation produced no folds")
 
 // cvFold is one train/validation partition of the samples.
 type cvFold struct {
@@ -176,35 +202,147 @@ func runParallel(n int, job func(int)) {
 	}
 }
 
-// SelectBest cross-validates every factory and returns the winning family
-// (by RMSE) trained on the full dataset, together with all scores. Ties
-// and NaNs resolve to the earliest factory.
-func SelectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, []Score, error) {
-	return selectBest(factories, X, y, k, seed, func(s Score) float64 { return s.RMSE })
+// BestRelative returns the index of the score with the lowest mean relative
+// error, the pick SelectBestRelative makes (see argmin).
+func BestRelative(scores []Score) int { return argmin(scores, byRelErr) }
+
+func byRMSE(s Score) float64   { return s.RMSE }
+func byRelErr(s Score) float64 { return s.RelErr }
+
+// argmin is the one selection rule: the lowest key wins, ties go to the
+// earliest index and a NaN key never wins; only when every key is NaN does
+// index 0 win.
+func argmin(scores []Score, key func(Score) float64) int {
+	best := -1
+	for i, s := range scores {
+		if v := key(s); !math.IsNaN(v) && (best < 0 || v < key(scores[best])) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return 0
+	}
+	return best
+}
+
+// SelectBest returns the family that cross-validates with the lowest RMSE,
+// trained on the full dataset. It picks the family argmin picks over
+// CrossValidate's scores, but skips the fits that cannot change the pick
+// (see selectBest); callers that need every family's score call
+// CrossValidate.
+func SelectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, error) {
+	return selectBest(factories, X, y, k, seed, byRMSE)
 }
 
 // SelectBestRelative selects by mean relative error instead of RMSE. For
 // targets spanning orders of magnitude (execution times from seconds to
 // hours), relative error weights every scale equally — the criterion the
 // paper's estimation-accuracy evaluation uses.
-func SelectBestRelative(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, []Score, error) {
-	return selectBest(factories, X, y, k, seed, func(s Score) float64 { return s.RelErr })
+func SelectBestRelative(factories []Factory, X [][]float64, y []float64, k int, seed int64) (Model, error) {
+	return selectBest(factories, X, y, k, seed, byRelErr)
 }
 
-func selectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64, key func(Score) float64) (Model, []Score, error) {
-	scores, err := CrossValidate(factories, X, y, k, seed)
-	if err != nil {
-		return nil, nil, err
+// racedFamilies lists the zoo's costliest families to fit, costliest
+// first. selectBest cross-validates them one fold at a time and drops each
+// as soon as its partial error proves it cannot win.
+var racedFamilies = []string{"MultilayerPerceptron", "Bagging", "RandomSubSpace", "RegressionTree"}
+
+// selectBest races the raced families against the others. A family's error
+// sums are left-to-right sums of non-negative terms, and adding one under
+// round-to-nearest never lowers a sum, so the sums over a family's first
+// folds bound its final ones from below; normalising by the same row count
+// and taking the square root keep that order. Once a raced family's partial
+// key is strictly above a complete family's key, its final key is too, and
+// it cannot be the earliest minimum: its remaining folds are skipped.
+//
+// Every other family is cross-validated in full in the first batch, next to
+// fold 0 of each raced family, so the bound is there from the first round.
+// Then each round drops the raced families that already lose and fits the
+// next fold of the rest. The set of skipped fits depends only on the
+// scores, and every computed score is summed in CrossValidate's order, so
+// the pick is the one argmin makes over CrossValidate's scores, at any
+// GOMAXPROCS.
+func selectBest(factories []Factory, X [][]float64, y []float64, k int, seed int64, key func(Score) float64) (Model, error) {
+	if _, err := validate(X, y); err != nil {
+		return nil, err
 	}
-	best := 0
-	for i, s := range scores {
-		if !math.IsNaN(key(s)) && key(s) < key(scores[best]) {
-			best = i
+	if len(factories) == 0 {
+		return nil, errors.New("model: no model families to select from")
+	}
+	folds := makeFolds(X, y, k, seed)
+	if len(folds) == 0 {
+		return nil, errNoFolds
+	}
+	rows := validationRows(folds)
+
+	names := make([]string, len(factories))
+	for fi, fac := range factories {
+		names[fi] = fac().Name()
+	}
+	var raced, full []int
+	for _, fam := range racedFamilies {
+		for fi, name := range names {
+			if name == fam {
+				raced = append(raced, fi)
+			}
 		}
 	}
-	m := factories[best]()
-	if err := m.Train(X, y); err != nil {
-		return nil, scores, err
+	for fi, name := range names {
+		if !slices.Contains(racedFamilies, name) {
+			full = append(full, fi)
+		}
 	}
-	return m, scores, nil
+
+	// Round 0: fold 0 of every raced family, costliest first so the long
+	// fits start early, then every fold of the others.
+	type job struct{ fi, fold int }
+	jobs := make([]job, 0, len(raced)+len(full)*len(folds))
+	for _, fi := range raced {
+		jobs = append(jobs, job{fi, 0})
+	}
+	for _, fi := range full {
+		for fold := range folds {
+			jobs = append(jobs, job{fi, fold})
+		}
+	}
+	sums := make([]cvSum, len(factories))
+	fits := make([]foldFit, len(jobs))
+	runParallel(len(jobs), func(j int) {
+		fits[j] = fitFold(factories[jobs[j].fi], folds[jobs[j].fold])
+	})
+	for j, jb := range jobs {
+		sums[jb.fi].add(fits[j], folds[jb.fold])
+	}
+
+	// A dropped family keeps a NaN score, so it cannot win.
+	scores := make([]Score, len(factories))
+	for fi := range scores {
+		scores[fi] = Score{RMSE: math.NaN(), RelErr: math.NaN()}
+	}
+	bound := math.Inf(1)
+	for _, fi := range full {
+		scores[fi] = sums[fi].score(rows)
+		if v := key(scores[fi]); v < bound {
+			bound = v
+		}
+	}
+	for fold := 1; fold < len(folds) && len(raced) > 0; fold++ {
+		raced = slices.DeleteFunc(raced, func(fi int) bool { return key(sums[fi].score(rows)) > bound })
+		fits = fits[:len(raced)]
+		runParallel(len(raced), func(j int) {
+			fits[j] = fitFold(factories[raced[j]], folds[fold])
+		})
+		for j, fi := range raced {
+			sums[fi].add(fits[j], folds[fold])
+		}
+	}
+	for _, fi := range raced {
+		scores[fi] = sums[fi].score(rows)
+	}
+
+	m := factories[argmin(scores, key)]()
+	if err := m.Train(X, y); err != nil {
+		return nil, err
+	}
+	return m, nil
 }

@@ -269,7 +269,11 @@ func TestConstantFeature(t *testing.T) {
 
 func TestCrossValidateSelectsReasonably(t *testing.T) {
 	X, y := synth(80, 2, 26, linearFn, 0.1)
-	m, scores, err := SelectBest(DefaultFactories(1), X, y, 5, 2)
+	m, err := SelectBest(DefaultFactories(1), X, y, 5, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scores, err := CrossValidate(DefaultFactories(1), X, y, 5, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +296,7 @@ func TestCrossValidateErrors(t *testing.T) {
 
 func TestCrossValidateSmallN(t *testing.T) {
 	X, y := synth(3, 2, 28, linearFn, 0)
-	if _, _, err := SelectBest([]Factory{func() Model { return NewLinear() }}, X, y, 10, 1); err != nil {
+	if _, err := SelectBest([]Factory{func() Model { return NewLinear() }}, X, y, 10, 1); err != nil {
 		t.Fatalf("small-n CV failed: %v", err)
 	}
 }

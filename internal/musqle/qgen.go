@@ -3,6 +3,7 @@ package musqle
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"github.com/asap-project/ires/internal/sqldata"
 )
@@ -34,7 +35,7 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 	for len(q.Tables) < nTables {
 		// Pick a random FK edge touching the current set and extending it.
 		var candidates []sqldata.ForeignKey
-		for t := range in {
+		for _, t := range sortedTables(q) {
 			for _, fk := range adj[t] {
 				other := fk.Table
 				if other == t {
@@ -66,7 +67,7 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 			"supplier": {"s_acctbal", int64(500_000)},
 			"nation":   {"n_name", int64(7)},
 		}
-		for t := range in {
+		for _, t := range sortedTables(q) {
 			if nf == 0 {
 				break
 			}
@@ -83,6 +84,15 @@ func GenerateQuery(cat *Catalog, nTables int, withFilters bool, seed int64) (*Qu
 		}
 	}
 	return q, nil
+}
+
+// sortedTables returns the query's tables by name. GenerateQuery walks its
+// table set in this fixed order, never in map order, so one seed always
+// yields one query.
+func sortedTables(q *Query) []string {
+	ts := slices.Clone(q.Tables)
+	slices.Sort(ts)
+	return ts
 }
 
 // Fig13Queries returns the three SPJ queries of the relational analytics

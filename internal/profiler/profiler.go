@@ -7,8 +7,10 @@ package profiler
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -40,6 +42,37 @@ type Space struct {
 	BytesPerRecord int64
 	Params         map[string][]float64
 	Resources      []engine.Resources
+}
+
+// MaxProfileGrid caps the points one profiling grid may name. Every grid
+// point is one profiling run and one training row of every model family's
+// cross-validation, and a small request body can name billions of them.
+// The largest grid the repository profiles has 40 points.
+const MaxProfileGrid = 4096
+
+// ErrGridTooLarge reports a profiling space naming more than MaxProfileGrid
+// points.
+var ErrGridTooLarge = errors.New("profiler: profiling grid too large")
+
+// gridExceeds reports whether the grid names more than limit points. Each
+// factor is checked before it is multiplied in, so the product never
+// overflows.
+func (s Space) gridExceeds(limit int) bool {
+	lens := []int{len(s.Records), len(s.Resources)}
+	for _, vs := range s.Params {
+		lens = append(lens, len(vs))
+	}
+	if slices.Contains(lens, 0) {
+		return false // an empty list empties the grid
+	}
+	n := 1
+	for _, l := range lens {
+		if n > limit/l {
+			return true
+		}
+		n *= l
+	}
+	return false
 }
 
 // combinations enumerates the full grid, deterministically ordered.
@@ -299,6 +332,9 @@ func (p *Profiler) ProfileOffline(opName, engineName, algorithm string, space Sp
 	if len(space.Records) == 0 || len(space.Resources) == 0 {
 		return 0, fmt.Errorf("profiler: empty profiling space for %s", opName)
 	}
+	if space.gridExceeds(MaxProfileGrid) {
+		return 0, fmt.Errorf("%w: %s names more than %d points", ErrGridTooLarge, opName, MaxProfileGrid)
+	}
 	paramNames := make([]string, 0, len(space.Params))
 	for k := range space.Params {
 		paramNames = append(paramNames, k)
@@ -455,7 +491,7 @@ func (om *OperatorModels) retrain(reselect bool) error {
 			om.models[target] = m
 			om.chosen[target] = m.Name()
 		case reselect || om.models[target] == nil:
-			m, _, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
+			m, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
 			if err != nil {
 				return err
 			}
@@ -499,7 +535,7 @@ func (om *OperatorModels) retrainRestoring(chosen map[string]string) error {
 			if len(y) < 3 {
 				m = om.factories[0]()
 			} else {
-				sel, _, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
+				sel, err := model.SelectBestRelative(om.factories, om.X, y, om.cvFolds, om.seed)
 				if err != nil {
 					return err
 				}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -618,5 +619,26 @@ func TestOversizedBodiesRefused(t *testing.T) {
 		if resp.StatusCode != http.StatusRequestEntityTooLarge {
 			t.Errorf("POST %s with %d bytes: status %d, want 413 (%s)", c.path, len(c.body), resp.StatusCode, body)
 		}
+	}
+}
+
+func TestProfileGridTooLargeRefused(t *testing.T) {
+	_, ts, p := newTestServer(t)
+	resp, body := do(t, "POST", ts.URL+"/api/operators/wordcount_spark", wordcountSpark)
+	expectCode(t, resp, body, http.StatusCreated)
+	// About 17 KB of JSON naming 300 x 300 = 90,000 grid points.
+	var records, resources []string
+	for i := 0; i < 300; i++ {
+		records = append(records, strconv.Itoa(1000+i))
+		resources = append(resources, fmt.Sprintf(`{"nodes":%d,"coresPerNode":2,"memMBPerNode":3456}`, 1+i%16))
+	}
+	req := `{"records":[` + strings.Join(records, ",") + `],"bytesPerRecord":1000,"resources":[` + strings.Join(resources, ",") + `]}`
+	resp, body = do(t, "POST", ts.URL+"/api/operators/wordcount_spark/profile", req)
+	expectCode(t, resp, body, http.StatusBadRequest)
+	if !strings.Contains(body, "too large") {
+		t.Errorf("body %q does not name the cause", body)
+	}
+	if _, ok := p.Profiler.Models("wordcount_spark"); ok {
+		t.Error("a refused grid was profiled")
 	}
 }
